@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -373,6 +377,39 @@ func TestCmdBenchRejectsBadSelections(t *testing.T) {
 	}
 	if err := cmdBench(benchArgs(t.TempDir(), "--workloads", "nope"), &sink, &sink); err == nil {
 		t.Error("unknown workload profile should error")
+	}
+}
+
+// TestCmdServeRejectsNonIntegerWorkers pins --workers to the integer sweep
+// width it shares with bench: a non-integer value is a flag error (exit 2
+// with the flag package's message), never a server that starts anyway.
+// The flag set exits the process on a parse error, so the serve call runs
+// in a child copy of the test binary.
+func TestCmdServeRejectsNonIntegerWorkers(t *testing.T) {
+	if os.Getenv("DBDESIGNER_SERVE_CHILD") == "1" {
+		ctl := &serveControl{ready: make(chan string, 1), stop: make(chan struct{})}
+		go func() {
+			<-ctl.ready
+			fmt.Println("serve started")
+			close(ctl.stop)
+		}()
+		if err := runServe([]string{"--size", "tiny", "--seed", "1", "--addr", "127.0.0.1:0", "--workers", "abc"}, ctl); err != nil {
+			fmt.Println(err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCmdServeRejectsNonIntegerWorkers$")
+	cmd.Env = append(os.Environ(), "DBDESIGNER_SERVE_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("serve --workers=abc: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `invalid value "abc" for flag -workers`) {
+		t.Fatalf("serve --workers=abc: missing flag error in output:\n%s", out)
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
-	"repro/designer"
 	"repro/designer/serve"
 )
 
@@ -31,8 +29,7 @@ func runServe(args []string, ctl *serveControl) error {
 	df := commonFlags(fs)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:0 for an ephemeral port)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout")
-	worker := fs.Bool("worker", false, "worker mode: additionally serve the shard-pricing endpoint (POST /api/v1/shards/sweep)")
-	workers := fs.String("workers", "", "in-process sweep width N, or comma-separated worker base URLs for coordinator mode")
+	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
 	maxSessions := fs.Int("max-sessions", 1024, "global live-session cap (LRU eviction past it)")
 	sessionTTL := fs.Duration("session-ttl", 30*time.Minute, "idle timeout before a session is reclaimed (0 disables)")
 	poolSize := fs.Int("pool-size", 0, "concurrently executing CPU-heavy requests (0 = GOMAXPROCS)")
@@ -52,30 +49,7 @@ func runServe(args []string, ctl *serveControl) error {
 		serve.WithQueueDepth(*queueDepth),
 		serve.WithTenantQuota(*tenantQuota),
 	}
-	if *worker {
-		opts = append(opts, serve.WithWorkerMode())
-	}
-	if *workers != "" {
-		if n, convErr := strconv.Atoi(*workers); convErr == nil {
-			d.SetWorkers(n)
-		} else {
-			// Not an integer: a comma-separated worker URL list, i.e.
-			// coordinator mode over remote shard workers.
-			if *worker {
-				return fmt.Errorf("--worker cannot be combined with --workers=<urls>: a worker must not re-distribute its shards")
-			}
-			fp := d.Fingerprint()
-			var shardWorkers []designer.ShardWorker
-			for _, u := range splitCSV(*workers) {
-				shardWorkers = append(shardWorkers, serve.NewShardClient(u, fp))
-			}
-			if len(shardWorkers) == 0 {
-				return fmt.Errorf("--workers=%q names no worker URLs", *workers)
-			}
-			d.SetShardWorkers(shardWorkers...)
-			fmt.Fprintf(os.Stderr, "dbdesigner: coordinating sweeps across %d worker(s)\n", len(shardWorkers))
-		}
-	}
+	d.SetWorkers(*workers)
 	srv := serve.New(d, opts...)
 	if err := srv.Start(*addr); err != nil {
 		return err

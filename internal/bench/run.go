@@ -640,10 +640,9 @@ func runParallelSweep(e *Env, spec Spec, x *Experiment) error {
 }
 
 // runParallelScaling records speedup vs worker count for the costing hot
-// path — the configuration sweep and the warm re-advise — at fixed widths,
-// plus the coordinator/worker distributed leg. Every *_exact count must be
-// 1 and every *_max_abs_diff quality exactly 0 on any machine: parallelism
-// and distribution change latency, never results.
+// path — the configuration sweep and the warm re-advise — at fixed widths.
+// Every *_exact count must be 1 and every *_max_abs_diff quality exactly 0
+// on any machine: parallelism changes latency, never results.
 func runParallelScaling(e *Env, spec Spec, x *Experiment) error {
 	r, err := e.ParallelScaling(spec.Repeat)
 	if err != nil {
@@ -670,12 +669,6 @@ func runParallelScaling(e *Env, spec Spec, x *Experiment) error {
 			x.TimingNs[key+"_readvise_speedup_x"] = serialReadviseNs / c.ReadviseNs
 		}
 	}
-	x.Counts["dist_workers"] = int64(r.DistWorkers)
-	x.Counts["dist_sweep_exact"] = bool01(r.DistSweepExact)
-	x.Counts["dist_evaluate_exact"] = bool01(r.DistEvaluateExact)
-	x.Counts["dist_remote_jobs"] = r.DistRemoteJobs
-	x.Counts["dist_failed_shards"] = r.DistFailedShards
-	x.Quality["dist_sweep_max_abs_diff"] = r.DistSweepMaxDiff
 	return nil
 }
 

@@ -361,3 +361,29 @@ func TestSetWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepWidthsBitIdentical runs the same sweep at worker counts
+// {1, 2, 7, 16} and asserts every width returns exactly the serial costs —
+// the schedule-independence half of the determinism contract.
+func TestSweepWidthsBitIdentical(t *testing.T) {
+	f := newFixture(t)
+	cfgs := f.sweepConfigs(33) // odd count: uneven chunk deal
+	f.eng.SetWorkers(1)
+	serial, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.eng.SetWorkers(0)
+	for _, workers := range []int{2, 7, 16} {
+		f.eng.SetWorkers(workers)
+		got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d config %d: %v != serial %v", workers, i, got[i], serial[i])
+			}
+		}
+	}
+}

@@ -96,10 +96,6 @@ func (h *Heap) Get(id int64, io *IOCounter) catalog.Row {
 	return h.rows[id]
 }
 
-// GetNoIO fetches a row without charging I/O (used when the caller has
-// already accounted the page, e.g. clustered fetches of adjacent ids).
-func (h *Heap) GetNoIO(id int64) catalog.Row { return h.rows[id] }
-
 // PageOf returns the page number holding the row id.
 func (h *Heap) PageOf(id int64) int64 { return id / int64(h.rowsPerPage) }
 
