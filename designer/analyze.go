@@ -37,7 +37,7 @@ func (d *Designer) ExplainAnalyze(q Query) (*ExplainAnalysis, error) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	plan, err := d.eng.Optimize(q.stmt, d.store.MaterializedConfiguration())
+	plan, err := d.eng.Pin().Optimize(q.stmt, d.store.MaterializedConfiguration())
 	if err != nil {
 		return nil, err
 	}

@@ -183,7 +183,7 @@ func (o *openOptions) resolve() (engine.BackendSpec, *engine.Recorder, error) {
 
 // Backend reports the designer's active cost backend.
 func (d *Designer) Backend() BackendInfo {
-	return backendInfoFromInternal(d.eng.Backend())
+	return backendInfoFromInternal(d.eng.Pin().Backend())
 }
 
 // WriteTrace saves every costing call recorded so far (the designer must

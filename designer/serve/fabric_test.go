@@ -29,6 +29,9 @@ func startWith(t *testing.T, opts ...serve.Option) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// A connection the client dialed but never used looks new to the
+		// server, and Shutdown waits 5 s on new connections.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {

@@ -267,6 +267,15 @@ func New(d *designer.Designer, opts ...Option) *Server {
 // embedding).
 func (s *Server) Handler() http.Handler { return s.handler }
 
+// Connection bounds. A client gets readHeaderTimeout to send its request
+// headers (no slowloris holds a connection open), and a keep-alive
+// connection closes after idleTimeout without a request. There is no
+// whole-request read or write timeout: /api/v1/tuner/stream is long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start binds addr (use host:0 for an ephemeral port) and serves in the
 // background until Shutdown.
 func (s *Server) Start(addr string) error {
@@ -275,7 +284,11 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.handler}
+	s.httpSrv = &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		defer close(s.done)
 		// Serve returns http.ErrServerClosed after Shutdown; a fatal accept
@@ -296,13 +309,20 @@ func (s *Server) Addr() string {
 
 // Shutdown gracefully stops the server: the listener closes immediately,
 // in-flight requests get until ctx expires to finish, then the admission
-// pool and session manager wind down.
+// pool and session manager wind down. Connections still open when ctx
+// expires are closed, so Shutdown returns by the caller's deadline.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv == nil {
 		return nil
 	}
 	s.closeOnce.Do(func() { close(s.closing) })
 	err := s.httpSrv.Shutdown(ctx)
+	if err != nil {
+		// Cut what is left: handlers past the deadline, and connections
+		// that were dialed but never sent a request, which net/http's
+		// Shutdown would otherwise wait on for 5 s.
+		_ = s.httpSrv.Close()
+	}
 	select {
 	case <-s.done:
 	case <-ctx.Done():

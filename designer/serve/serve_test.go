@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -29,6 +30,9 @@ func start(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// A connection the client dialed but never used looks new to the
+		// server, and Shutdown waits 5 s on new connections.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
@@ -538,6 +542,37 @@ func TestShutdownWithOpenStream(t *testing.T) {
 	case <-streamDone:
 	case <-time.After(2 * time.Second):
 		t.Fatal("stream client still blocked after shutdown")
+	}
+}
+
+// TestShutdownClosesUnusedConnection: a client connection that never sends
+// a request must not outlive Shutdown's deadline. net/http's Shutdown waits
+// 5 s on such a connection; Shutdown closes it once its context expires.
+func TestShutdownClosesUnusedConnection(t *testing.T) {
+	d, err := designer.OpenSDSS("tiny", 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(d)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err == nil {
+		t.Fatal("shutdown drained a connection that never sent a request")
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("unused connection still open after shutdown: read = %v, want EOF", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func newFixture(t *testing.T) *fixture {
 
 func TestAdviseVerticalImprovesWideTableWorkload(t *testing.T) {
 	f := newFixture(t)
-	res, err := f.adv.Advise(context.Background(), f.w, nil, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.eng.Pin(), f.w, nil, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAdviseVerticalImprovesWideTableWorkload(t *testing.T) {
 
 func TestAdviseSkipsUnhelpfulTables(t *testing.T) {
 	f := newFixture(t)
-	res, err := f.adv.Advise(context.Background(), f.w, nil, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.eng.Pin(), f.w, nil, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAdviseSkipsUnhelpfulTables(t *testing.T) {
 func TestHorizontalPartitioning(t *testing.T) {
 	f := newFixture(t)
 	opts := autopart.DefaultOptions()
-	res, err := f.adv.Advise(context.Background(), f.w, nil, opts)
+	res, err := f.adv.AdviseView(context.Background(), f.eng.Pin(), f.w, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAdviseWithIndexesAsBase(t *testing.T) {
 		Name: "h", Table: "photoobj", Columns: []string{"ra"},
 		Hypothetical: true, EstimatedPages: 50, EstimatedHeight: 2,
 	})
-	res, err := f.adv.Advise(context.Background(), f.w, base, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.eng.Pin(), f.w, base, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

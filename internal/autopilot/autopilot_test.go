@@ -160,7 +160,7 @@ func TestAutopilotRollsBackUnderperformingIndex(t *testing.T) {
 
 	// Induce a bad choice: an index on a column the stream never touches,
 	// with an inflated what-if promise it cannot possibly honor.
-	ix, err := eng.HypotheticalIndex("neighbors", "distance")
+	ix, err := eng.Pin().Session().HypotheticalIndex("neighbors", "distance")
 	if err != nil {
 		t.Fatal(err)
 	}

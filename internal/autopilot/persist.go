@@ -175,7 +175,7 @@ func (a *Autopilot) load(path string) (bool, error) {
 // The same index spec and stats yield the same total, so progress resumes
 // exactly where the snapshot left off.
 func restoreBuild(a *Autopilot, pb persistedBuild) *engine.IndexBuild {
-	b := engine.NewIndexBuild(pb.Index.Index(), a.eng.Stats())
+	b := engine.NewIndexBuild(pb.Index.Index(), a.eng.Pin().Stats())
 	b.Advance(pb.Done)
 	return b
 }

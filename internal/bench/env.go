@@ -89,8 +89,9 @@ func NewEnvWith(sizeName string, seed int64, profile string, numQ int, spec engi
 	if err != nil {
 		return nil, err
 	}
-	cands := eng.GenerateCandidates(w, whatif.DefaultCandidateOptions())
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		return nil, err
 	}
 	return &Env{
@@ -98,7 +99,7 @@ func NewEnvWith(sizeName string, seed int64, profile string, numQ int, spec engi
 		Seed:        seed,
 		Profile:     profile,
 		NumQ:        numQ,
-		Backend:     eng.Backend().Kind,
+		Backend:     v.Backend().Kind,
 		Store:       store,
 		W:           w,
 		Cands:       cands,

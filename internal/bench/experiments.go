@@ -32,7 +32,7 @@ import (
 // cache — E8's fast path.
 func (e *Env) INUMCostOnce(i int, cfgs []*catalog.Configuration) error {
 	q := e.W.Queries[i%len(e.W.Queries)]
-	_, err := e.Eng.QueryCost(q, cfgs[i%len(cfgs)])
+	_, err := e.Eng.Pin().QueryCost(q, cfgs[i%len(cfgs)])
 	return err
 }
 
@@ -40,7 +40,7 @@ func (e *Env) INUMCostOnce(i int, cfgs []*catalog.Configuration) error {
 // optimizer — E8's baseline.
 func (e *Env) FullCostOnce(i int, cfgs []*catalog.Configuration) error {
 	q := e.W.Queries[i%len(e.W.Queries)]
-	_, err := e.Eng.FullCost(q.Stmt, cfgs[i%len(cfgs)])
+	_, err := e.Eng.Pin().FullCost(q.Stmt, cfgs[i%len(cfgs)])
 	return err
 }
 
@@ -51,17 +51,16 @@ func (e *Env) FullCostOnce(i int, cfgs []*catalog.Configuration) error {
 func (e *Env) PipelineCallsAvoided() (ratio float64, err error) {
 	ctx := context.Background()
 	eng := e.FreshEngine()
-	adv := cophy.New(eng, e.Cands)
-	res, err := adv.Advise(ctx, e.W, cophy.DefaultOptions())
+	v := eng.Pin()
+	res, err := cophy.New(eng, e.Cands).AdviseView(ctx, v, e.W, cophy.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}
 	if len(res.Indexes) >= 2 {
-		if _, err := interaction.Analyze(ctx, eng, e.W, res.Indexes, interaction.DefaultOptions()); err != nil {
+		if _, err := interaction.AnalyzeView(ctx, v, e.W, res.Indexes, interaction.DefaultOptions()); err != nil {
 			return 0, err
 		}
-		sched := schedule.New(eng)
-		if _, err := sched.Greedy(ctx, e.W, res.Indexes); err != nil {
+		if _, err := schedule.New(eng).GreedyView(ctx, v, e.W, res.Indexes); err != nil {
 			return 0, err
 		}
 	}
@@ -79,19 +78,19 @@ func (e *Env) CoPhy(budgetPages int64, nodeBudget int) (*cophy.Result, error) {
 	opts := cophy.DefaultOptions()
 	opts.StorageBudgetPages = budgetPages
 	opts.NodeBudget = nodeBudget
-	return cophy.New(e.Eng, e.Cands).Advise(context.Background(), e.W, opts)
+	return cophy.New(e.Eng, e.Cands).AdviseView(context.Background(), e.Eng.Pin(), e.W, opts)
 }
 
 // Greedy runs the DTA-style greedy baseline at a storage budget.
 func (e *Env) Greedy(budgetPages int64) (*greedy.Result, error) {
-	return greedy.New(e.Eng, e.Cands).Advise(context.Background(), e.W,
+	return greedy.New(e.Cands).Advise(context.Background(), e.Eng.Pin(), e.W,
 		greedy.Options{StorageBudgetPages: budgetPages, BenefitPerPage: true})
 }
 
 // Exhaustive enumerates every candidate subset within the budget — ground
 // truth for small candidate sets.
 func (e *Env) Exhaustive(budgetPages int64) (*greedy.Result, error) {
-	return greedy.Exhaustive(context.Background(), e.Eng, e.Cands, e.W, budgetPages)
+	return greedy.Exhaustive(context.Background(), e.Eng.Pin(), e.Cands, e.W, budgetPages)
 }
 
 // InteractionGraph analyzes the advised index set's interactions with the
@@ -106,7 +105,7 @@ func (e *Env) InteractionGraph(sampleContexts int) (*interaction.Graph, error) {
 	}
 	opts := interaction.DefaultOptions()
 	opts.SampleContexts = sampleContexts
-	return interaction.Analyze(context.Background(), e.Eng, e.W, advised, opts)
+	return interaction.AnalyzeView(context.Background(), e.Eng.Pin(), e.W, advised, opts)
 }
 
 // Schedules builds the interaction-aware and oblivious materialization
@@ -120,12 +119,12 @@ func (e *Env) Schedules() (aware, oblivious *schedule.Schedule, err error) {
 	if len(advised) < 2 {
 		return nil, nil, nil
 	}
-	sched := schedule.New(e.Eng)
-	aware, err = sched.Greedy(context.Background(), e.W, advised)
+	v, sched := e.Eng.Pin(), schedule.New(e.Eng)
+	aware, err = sched.GreedyView(context.Background(), v, e.W, advised)
 	if err != nil {
 		return nil, nil, err
 	}
-	oblivious, err = sched.Oblivious(context.Background(), e.W, advised)
+	oblivious, err = sched.ObliviousView(context.Background(), v, e.W, advised)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,8 +167,9 @@ func (e *Env) COLTFixture(streamLen int) (*COLTFixture, error) {
 	}
 	var static float64
 	empty := catalog.NewConfiguration()
+	v := eng.Pin()
 	for _, q := range stream {
-		c, err := eng.QueryCost(q, empty)
+		c, err := v.QueryCost(q, empty)
 		if err != nil {
 			return nil, err
 		}
@@ -251,8 +251,9 @@ func (e *Env) AutopilotStream(streamLen, epochLen int) (*AutopilotResult, error)
 	}
 	var static float64
 	empty := catalog.NewConfiguration()
+	v := eng.Pin()
 	for _, q := range stream {
-		c, err := eng.QueryCost(q, empty)
+		c, err := v.QueryCost(q, empty)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +310,7 @@ func (e *Env) AutopilotStream(streamLen, epochLen int) (*AutopilotResult, error)
 func (e *Env) SweepOnce(workers int, cfgs []*catalog.Configuration) error {
 	e.Eng.SetWorkers(workers)
 	defer e.Eng.SetWorkers(e.defaultWorkers)
-	_, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
+	_, err := e.Eng.Pin().SweepConfigs(context.Background(), e.W, cfgs)
 	return err
 }
 
@@ -317,13 +318,14 @@ func (e *Env) SweepOnce(workers int, cfgs []*catalog.Configuration) error {
 // serial sweep and returns the maximum absolute cost difference (0 when the
 // determinism contract holds).
 func (e *Env) SweepParity(cfgs []*catalog.Configuration) (float64, error) {
+	v := e.Eng.Pin()
 	e.Eng.SetWorkers(1)
-	serial, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
+	serial, err := v.SweepConfigs(context.Background(), e.W, cfgs)
 	e.Eng.SetWorkers(e.defaultWorkers)
 	if err != nil {
 		return 0, err
 	}
-	parallel, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
+	parallel, err := v.SweepConfigs(context.Background(), e.W, cfgs)
 	if err != nil {
 		return 0, err
 	}
@@ -376,7 +378,7 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 	for _, width := range ScalingWidths {
 		cell := ScalingCell{Workers: width}
 		e.Eng.SetWorkers(width)
-		costs, err := e.Eng.SweepConfigs(ctx, e.W, cfgs)
+		costs, err := e.Eng.Pin().SweepConfigs(ctx, e.W, cfgs)
 		e.Eng.SetWorkers(e.defaultWorkers)
 		if err != nil {
 			return nil, err
@@ -473,15 +475,16 @@ func costParity(ref, costs []float64) (exact bool, maxDiff float64) {
 // WhatIfDemoConfig builds Scenario 1's demo design: two composite photoobj
 // indexes plus the specobj join key.
 func (e *Env) WhatIfDemoConfig() (*catalog.Configuration, error) {
+	s := e.Eng.Pin().Session()
 	cfg := catalog.NewConfiguration()
 	for _, spec := range [][]string{{"ra", "dec"}, {"type", "psfmag_r"}} {
-		ix, err := e.Eng.HypotheticalIndex("photoobj", spec...)
+		ix, err := s.HypotheticalIndex("photoobj", spec...)
 		if err != nil {
 			return nil, err
 		}
 		cfg = cfg.WithIndex(ix)
 	}
-	ix, err := e.Eng.HypotheticalIndex("specobj", "bestobjid")
+	ix, err := s.HypotheticalIndex("specobj", "bestobjid")
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +494,7 @@ func (e *Env) WhatIfDemoConfig() (*catalog.Configuration, error) {
 // WhatIfBenefit evaluates a hypothetical configuration over the workload
 // and returns the workload-level benefit percentage (E4).
 func (e *Env) WhatIfBenefit(cfg *catalog.Configuration) (float64, error) {
-	rep, err := e.Eng.Evaluate(context.Background(), e.W, cfg)
+	rep, err := e.Eng.Pin().Evaluate(context.Background(), e.W, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -533,7 +536,7 @@ func (e *Env) AutoPartWorkload() (*workload.Workload, error) {
 // AutoPartImprovement runs partition-only advice (no indexes) over the
 // photometric workload and returns the improvement percentage.
 func (e *Env) AutoPartImprovement(w *workload.Workload) (float64, error) {
-	res, err := autopart.New(e.Eng).Advise(context.Background(), w, nil, autopart.DefaultOptions())
+	res, err := autopart.New(e.Eng).AdviseView(context.Background(), e.Eng.Pin(), w, nil, autopart.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}
@@ -543,7 +546,8 @@ func (e *Env) AutoPartImprovement(w *workload.Workload) (float64, error) {
 // SizeModelDistortion compares honest what-if sizing against the size-zero
 // model on a selective range scan and returns honest/zero (E12).
 func (e *Env) SizeModelDistortion() (float64, error) {
-	ix, err := e.Eng.HypotheticalIndex("photoobj", "psfmag_r")
+	v := e.Eng.Pin()
+	ix, err := v.Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		return 0, err
 	}
@@ -555,11 +559,11 @@ func (e *Env) SizeModelDistortion() (float64, error) {
 	if err := sqlparse.Resolve(stmt, e.Store.Schema); err != nil {
 		return 0, err
 	}
-	honest, err := e.Eng.FullCost(stmt, cfg)
+	honest, err := v.FullCost(stmt, cfg)
 	if err != nil {
 		return 0, err
 	}
-	zeroEnv := e.Eng.Env().WithConfig(cfg).WithOptions(optimizer.Options{ZeroSizeWhatIf: true})
+	zeroEnv := v.Session().Env().WithConfig(cfg).WithOptions(optimizer.Options{ZeroSizeWhatIf: true})
 	zero, err := zeroEnv.Cost(stmt)
 	if err != nil {
 		return 0, err
@@ -576,8 +580,9 @@ func (e *Env) SizeModelDistortion() (float64, error) {
 func (e *Env) AblationImprovement(maxPerTable int) (improvementPct float64, candidates int, err error) {
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = maxPerTable
-	cands := e.Eng.GenerateCandidates(e.W, opts)
-	res, err := cophy.New(e.FreshEngine(), cands).Advise(context.Background(), e.W, cophy.DefaultOptions())
+	cands := e.Eng.Pin().Session().GenerateCandidates(e.W, opts)
+	eng := e.FreshEngine()
+	res, err := cophy.New(eng, cands).AdviseView(context.Background(), eng.Pin(), e.W, cophy.DefaultOptions())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -770,7 +775,8 @@ func (e *Env) Portability(budgetPages int64) (*PortabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nres, err := greedy.New(nativeEng, e.Cands).Advise(ctx, e.W, gopts)
+	native := nativeEng.Pin()
+	nres, err := greedy.New(e.Cands).Advise(ctx, native, e.W, gopts)
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +787,8 @@ func (e *Env) Portability(budgetPages int64) (*PortabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cres, err := greedy.New(calibEng, e.Cands).Advise(ctx, e.W, gopts)
+	calib := calibEng.Pin()
+	cres, err := greedy.New(e.Cands).Advise(ctx, calib, e.W, gopts)
 	if err != nil {
 		return nil, err
 	}
@@ -793,17 +800,18 @@ func (e *Env) Portability(budgetPages int64) (*PortabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rres, err := greedy.New(replayEng, e.Cands).Advise(ctx, e.W, gopts)
+	replay := replayEng.Pin()
+	rres, err := greedy.New(e.Cands).Advise(ctx, replay, e.W, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("replaying the recorded native selection: %w", err)
 	}
 	var maxDiff float64
 	for _, q := range e.W.Queries {
-		want, err := nativeEng.QueryCost(q, nil)
+		want, err := native.QueryCost(q, nil)
 		if err != nil {
 			return nil, err
 		}
-		got, err := replayEng.QueryCost(q, nil)
+		got, err := replay.QueryCost(q, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -820,11 +828,11 @@ func (e *Env) Portability(budgetPages int64) (*PortabilityResult, error) {
 	// even when absolute costs (and greedy tie-breaks in the tail) differ.
 	nativeCfg := configOf(nres.Indexes)
 	calibCfg := configOf(cres.Indexes)
-	nativeUnderCalib, err := calibEng.WorkloadCost(e.W, nativeCfg)
+	nativeUnderCalib, err := calib.WorkloadCost(e.W, nativeCfg)
 	if err != nil {
 		return nil, err
 	}
-	calibUnderNative, err := nativeEng.WorkloadCost(e.W, calibCfg)
+	calibUnderNative, err := native.WorkloadCost(e.W, calibCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -989,8 +997,9 @@ func (e *Env) DesignSpaceWidth(profile string, numQ int) (*DesignSpaceCell, erro
 	cell := &DesignSpaceCell{}
 
 	baseEng := e.FreshEngine()
-	baseCands := baseEng.GenerateCandidates(w, whatif.DefaultCandidateOptions())
-	baseRes, err := cophy.New(baseEng, baseCands).Advise(ctx, w, cophy.DefaultOptions())
+	baseView := baseEng.Pin()
+	baseCands := baseView.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	baseRes, err := cophy.New(baseEng, baseCands).AdviseView(ctx, baseView, w, cophy.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -1002,8 +1011,9 @@ func (e *Env) DesignSpaceWidth(profile string, numQ int) (*DesignSpaceCell, erro
 	wopts.IncludeProjections = true
 	wopts.IncludeAggViews = true
 	wideEng := e.FreshEngine()
-	wideCands := wideEng.GenerateCandidates(w, wopts)
-	wideRes, err := cophy.New(wideEng, wideCands).Advise(ctx, w, cophy.DefaultOptions())
+	wideView := wideEng.Pin()
+	wideCands := wideView.Session().GenerateCandidates(w, wopts)
+	wideRes, err := cophy.New(wideEng, wideCands).AdviseView(ctx, wideView, w, cophy.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -1019,7 +1029,7 @@ func (e *Env) DesignSpaceWidth(profile string, numQ int) (*DesignSpaceCell, erro
 		}
 	}
 	if len(wideRes.Indexes) > 0 {
-		sched, err := schedule.New(wideEng).Greedy(ctx, w, wideRes.Indexes)
+		sched, err := schedule.New(wideEng).GreedyView(ctx, wideView, w, wideRes.Indexes)
 		if err != nil {
 			return nil, err
 		}

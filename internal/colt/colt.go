@@ -238,7 +238,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 		key := spec.key()
 		st, ok := t.candidates[key]
 		if !ok {
-			ix := t.sizedIndex(spec.table, spec.column)
+			ix := t.sizedIndex(v, spec.table, spec.column)
 			if ix == nil {
 				continue
 			}
@@ -271,7 +271,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 
 	t.queriesInEpoch++
 	if t.queriesInEpoch >= t.opts.EpochLength {
-		if err := t.endEpoch(); err != nil {
+		if err := t.endEpoch(v); err != nil {
 			return 0, err
 		}
 	}
@@ -293,8 +293,9 @@ func (t *Tuner) ObserveAll(ctx context.Context, qs []workload.Query) (float64, e
 	return total, nil
 }
 
-// endEpoch re-selects the materialized set and alerts on change.
-func (t *Tuner) endEpoch() error {
+// endEpoch re-selects the materialized set and alerts on change, sizing
+// builds against the observation's pinned view.
+func (t *Tuner) endEpoch(v *engine.View) error {
 	report := EpochReport{
 		Epoch:       t.epoch,
 		Queries:     t.queriesInEpoch,
@@ -358,7 +359,7 @@ func (t *Tuner) endEpoch() error {
 		}
 		var buildCost float64
 		for _, ix := range diffIndexes(proposed, t.current) {
-			buildCost += schedule.BuildCost(ix, t.eng.Stats(), t.eng.Params())
+			buildCost += schedule.BuildCost(ix, v.Stats(), v.Params())
 		}
 		if buildCost > 0 && expectedBenefit*float64(horizon) < buildCost {
 			adopt = false
@@ -410,12 +411,12 @@ func (t *Tuner) endEpoch() error {
 }
 
 // sizedIndex builds a single-column hypothetical index with realistic size.
-func (t *Tuner) sizedIndex(table, column string) *catalog.Index {
+func (t *Tuner) sizedIndex(v *engine.View, table, column string) *catalog.Index {
 	tab := t.eng.Schema().Table(table)
 	if tab == nil || !tab.HasColumn(column) {
 		return nil
 	}
-	ts := t.eng.Stats().Table(table)
+	ts := v.Stats().Table(table)
 	rows := int64(1000)
 	if ts != nil {
 		rows = ts.RowCount

@@ -125,34 +125,26 @@ type atom struct {
 
 // Advisor runs CoPhy over a fixed workload and candidate set.
 type Advisor struct {
-	eng        *engine.Engine
 	candidates []*catalog.Index
 }
 
-// New creates an advisor over the shared costing engine and a candidate
-// index set (typically engine.GenerateCandidates output). Atom pricing runs
-// through the engine's parallel sweep.
-func New(eng *engine.Engine, candidates []*catalog.Index) *Advisor {
-	return &Advisor{eng: eng, candidates: candidates}
+// New creates an advisor over a candidate index set (typically
+// View.Session().GenerateCandidates output). The engine argument is unused:
+// atoms are priced through the view passed to AdviseView.
+func New(_ *engine.Engine, candidates []*catalog.Index) *Advisor {
+	return &Advisor{candidates: candidates}
 }
 
 // Candidates exposes the advisor's candidate set.
 func (a *Advisor) Candidates() []*catalog.Index { return a.candidates }
 
-// Advise computes the recommended index set for the workload. The context
-// is honored through every phase: atom pricing aborts mid-sweep, and the
-// branch-and-bound solver checks it before every node expansion — a
-// cancelled or deadlined run returns ctx.Err() promptly.
-//
-// One engine generation is pinned for the whole run: every base cost and
-// atom sweep prices against the same cache/env even if the engine is
-// reconfigured concurrently. Multi-phase pipelines that must stay
-// consistent across advisors pass their own pinned view to AdviseView.
-func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, opts Options) (*Result, error) {
-	return a.AdviseView(ctx, a.eng.Pin(), w, opts)
-}
-
-// AdviseView runs the advisor against one pinned engine generation.
+// AdviseView computes the recommended index set for the workload against
+// one pinned engine generation: every base cost and atom sweep prices
+// against the same generation even if the engine is reconfigured
+// concurrently, and multi-phase pipelines pass the same view to every
+// advisor. The context is honored through every phase: atom pricing aborts
+// mid-sweep, and the branch-and-bound solver checks it before every node
+// expansion — a cancelled or deadlined run returns ctx.Err() promptly.
 func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Workload, opts Options) (*Result, error) {
 	if opts.MaxIndexesPerQueryTable <= 0 {
 		opts.MaxIndexesPerQueryTable = 3

@@ -12,7 +12,7 @@ func TestPinnedKeysForceSelection(t *testing.T) {
 	adv := cophy.New(f.eng, f.cands)
 
 	// Baseline without pinning.
-	base, err := adv.Advise(context.Background(), f.w, cophy.DefaultOptions())
+	base, err := adv.AdviseView(context.Background(), f.eng.Pin(), f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPinnedKeysForceSelection(t *testing.T) {
 
 	opts := cophy.DefaultOptions()
 	opts.PinnedKeys = []string{unpicked}
-	res, err := adv.Advise(context.Background(), f.w, opts)
+	res, err := adv.AdviseView(context.Background(), f.eng.Pin(), f.w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPinnedUnknownKeyErrors(t *testing.T) {
 	adv := cophy.New(f.eng, f.cands)
 	opts := cophy.DefaultOptions()
 	opts.PinnedKeys = []string{"nosuch(table)"}
-	if _, err := adv.Advise(context.Background(), f.w, opts); err == nil {
+	if _, err := adv.AdviseView(context.Background(), f.eng.Pin(), f.w, opts); err == nil {
 		t.Fatal("unknown pinned key should error")
 	}
 }

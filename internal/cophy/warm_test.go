@@ -16,7 +16,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	adv := cophy.New(f.eng, f.cands)
 	ctx := context.Background()
 
-	cold, err := adv.Advise(ctx, f.w, cophy.DefaultOptions())
+	cold, err := adv.AdviseView(ctx, f.eng.Pin(), f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	for _, ix := range cold.Indexes {
 		opts.WarmStartKeys = append(opts.WarmStartKeys, ix.Key())
 	}
-	warm, err := adv.Advise(ctx, f.w, opts)
+	warm, err := adv.AdviseView(ctx, f.eng.Pin(), f.w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWarmStartStaleBasisIgnored(t *testing.T) {
 	adv := cophy.New(f.eng, f.cands)
 	ctx := context.Background()
 
-	unlimited, err := adv.Advise(ctx, f.w, cophy.DefaultOptions())
+	unlimited, err := adv.AdviseView(ctx, f.eng.Pin(), f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestWarmStartStaleBasisIgnored(t *testing.T) {
 	for _, ix := range unlimited.Indexes {
 		tight.WarmStartKeys = append(tight.WarmStartKeys, ix.Key())
 	}
-	warm, err := adv.Advise(ctx, f.w, tight)
+	warm, err := adv.AdviseView(ctx, f.eng.Pin(), f.w, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	coldOpts := cophy.DefaultOptions()
 	coldOpts.StorageBudgetPages = tight.StorageBudgetPages
-	cold, err := adv.Advise(ctx, f.w, coldOpts)
+	cold, err := adv.AdviseView(ctx, f.eng.Pin(), f.w, coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,6 @@ type envBackend struct {
 func (b *envBackend) Kind() string                  { return b.kind }
 func (b *envBackend) Describe() string              { return b.desc }
 func (b *envBackend) Params() optimizer.CostParams  { return b.env.Params }
-func (b *envBackend) inumCache() *inum.Cache        { return b.cache }
 func (b *envBackend) CacheStats() (int64, int64)    { return b.cache.Stats() }
 func (b *envBackend) EvictPrefix(prefix string) int { return b.cache.EvictPrefix(prefix) }
 
@@ -297,16 +296,4 @@ func (b *recordingBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Conf
 		b.rec.record(b.inner.Kind(), opStmt, stmt.String(), configSignature(cfg), cost)
 	}
 	return cost, err
-}
-
-// inumCached is the optional interface env-backed backends implement so the
-// engine can expose the generation's INUM cache (telemetry, tests). The
-// recording wrapper forwards it.
-type inumCached interface{ inumCache() *inum.Cache }
-
-func (b *recordingBackend) inumCache() *inum.Cache {
-	if c, ok := b.inner.(inumCached); ok {
-		return c.inumCache()
-	}
-	return nil
 }

@@ -31,8 +31,9 @@ func newBackendFixture(t *testing.T, spec engine.BackendSpec) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := eng.GenerateCandidates(w, candOpts())
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, candOpts())
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{eng: eng, w: w, cands: cands}
@@ -45,7 +46,7 @@ func newBackendFixture(t *testing.T, spec engine.BackendSpec) *fixture {
 // are shared between the default calibration and the native model.)
 func indexProbe(t *testing.T, e *engine.Engine) (workload.Query, *catalog.Configuration) {
 	t.Helper()
-	ix, err := e.HypotheticalIndex("photoobj", "psfmag_r")
+	ix, err := e.Pin().Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,15 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 	native := newFixture(t)
 	calib := newBackendFixture(t, engine.BackendSpec{Kind: engine.BackendCalibrated})
 
-	if got := calib.eng.Backend().Kind; got != engine.BackendCalibrated {
+	if got := calib.eng.Pin().Backend().Kind; got != engine.BackendCalibrated {
 		t.Fatalf("backend kind = %q", got)
 	}
 	q, cfg := indexProbe(t, native.eng)
-	nc, err := native.eng.QueryCost(q, cfg)
+	nc, err := native.eng.Pin().QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := calib.eng.QueryCost(q, cfg)
+	cc, err := calib.eng.Pin().QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 	}
 	// Every query stays priceable under both backends.
 	for _, wq := range native.w.Queries {
-		if _, err := calib.eng.QueryCost(wq, nil); err != nil {
+		if _, err := calib.eng.Pin().QueryCost(wq, nil); err != nil {
 			t.Fatalf("%s under calibrated: %v", wq.ID, err)
 		}
 	}
@@ -103,8 +104,7 @@ func TestSetBackendBumpsGenerationAndInvalidates(t *testing.T) {
 	f := newFixture(t)
 	q, cfg := indexProbe(t, f.eng)
 
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
+	v0 := f.eng.Pin().Version()
 	pinned := f.eng.Pin()
 	nativeCost, err := pinned.QueryCost(q, cfg)
 	if err != nil {
@@ -114,17 +114,17 @@ func TestSetBackendBumpsGenerationAndInvalidates(t *testing.T) {
 	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendCalibrated}); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.eng.Version(); got != v0+1 {
+	if got := f.eng.Pin().Version(); got != v0+1 {
 		t.Fatalf("version after SetBackend = %d, want %d", got, v0+1)
 	}
-	if f.eng.Cache() == cache0 {
-		t.Fatal("SetBackend kept the previous backend's INUM cache")
+	if full, cached := f.eng.CacheStats(); full+cached != 0 {
+		t.Fatalf("SetBackend kept the previous backend's INUM cache (%d full, %d cached costings)", full, cached)
 	}
-	if got := f.eng.Backend().Kind; got != engine.BackendCalibrated {
+	if got := f.eng.Pin().Backend().Kind; got != engine.BackendCalibrated {
 		t.Fatalf("active backend = %q", got)
 	}
 
-	calibCost, err := f.eng.QueryCost(q, cfg)
+	calibCost, err := f.eng.Pin().QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestSetBackendBumpsGenerationAndInvalidates(t *testing.T) {
 	if err := f.eng.SetBackend(engine.BackendSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.eng.Version(); got != v0+2 {
+	if got := f.eng.Pin().Version(); got != v0+2 {
 		t.Fatalf("version after second swap = %d, want %d", got, v0+2)
 	}
-	back, err := f.eng.QueryCost(q, cfg)
+	back, err := f.eng.Pin().QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +165,17 @@ func TestSetBackendBumpsGenerationAndInvalidates(t *testing.T) {
 // working engine.
 func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 	f := newFixture(t)
-	v0 := f.eng.Version()
+	v0 := f.eng.Pin().Version()
 	if err := f.eng.SetBackend(engine.BackendSpec{Kind: "voodoo"}); err == nil {
 		t.Fatal("unknown backend kind accepted")
 	}
 	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendReplay}); err == nil {
 		t.Fatal("replay backend without a trace accepted")
 	}
-	if f.eng.Version() != v0 {
+	if f.eng.Pin().Version() != v0 {
 		t.Fatal("failed SetBackend bumped the generation")
 	}
-	if _, err := engine.NewWithBackend(f.eng.Schema(), f.eng.Stats(), nil,
+	if _, err := engine.NewWithBackend(f.eng.Schema(), f.eng.Pin().Stats(), nil,
 		engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{Name: "zero"}}); err == nil {
 		t.Fatal("zero-valued calibration accepted")
 	}
@@ -198,9 +198,10 @@ func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 func TestPinBackendIsolated(t *testing.T) {
 	f := newFixture(t)
 	q, cfg := indexProbe(t, f.eng)
-	v0 := f.eng.Version()
+	v := f.eng.Pin()
+	v0 := v.Version()
 
-	native, err := f.eng.QueryCost(q, cfg)
+	native, err := v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +216,13 @@ func TestPinBackendIsolated(t *testing.T) {
 	if calib == native {
 		t.Fatalf("per-session calibrated view returned the native cost %v", calib)
 	}
-	if f.eng.Version() != v0 {
+	if v.Version() != v0 {
 		t.Fatal("PinBackend bumped the engine generation")
 	}
-	if got := f.eng.Backend().Kind; got != engine.BackendNative {
+	if got := v.Backend().Kind; got != engine.BackendNative {
 		t.Fatalf("PinBackend leaked into the engine: %q", got)
 	}
-	again, err := f.eng.QueryCost(q, cfg)
+	again, err := v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +240,11 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 	cfgs := f.sweepConfigs(6)
 
 	recorded := make([][]float64, len(cfgs))
+	v := f.eng.Pin()
 	for i, cfg := range cfgs {
 		costs := make([]float64, len(f.w.Queries))
 		for j, q := range f.w.Queries {
-			c, err := f.eng.QueryCost(q, cfg)
+			c, err := v.QueryCost(q, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +252,7 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 		}
 		recorded[i] = costs
 	}
-	rep, err := f.eng.Evaluate(context.Background(), f.w, cfgs[1])
+	rep, err := v.Evaluate(context.Background(), f.w, cfgs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +270,14 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 		t.Fatalf("trace backend = %q", trace.Backend)
 	}
 
-	replay, err := engine.NewWithBackend(f.eng.Schema(), f.eng.Stats(), nil,
+	replay, err := engine.NewWithBackend(f.eng.Schema(), v.Stats(), nil,
 		engine.BackendSpec{Kind: engine.BackendReplay, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
 		for j, q := range f.w.Queries {
-			c, err := replay.QueryCost(q, cfg)
+			c, err := replay.Pin().QueryCost(q, cfg)
 			if err != nil {
 				t.Fatalf("replay %s under config %d: %v", q.ID, i, err)
 			}
@@ -284,7 +286,7 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 			}
 		}
 	}
-	rrep, err := replay.Evaluate(context.Background(), f.w, cfgs[1])
+	rrep, err := replay.Pin().Evaluate(context.Background(), f.w, cfgs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 	for _, ix := range f.cands {
 		unseen = unseen.WithIndex(ix)
 	}
-	if _, err := replay.QueryCost(f.w.Queries[0], unseen); err == nil {
+	if _, err := replay.Pin().QueryCost(f.w.Queries[0], unseen); err == nil {
 		t.Fatal("replay served a cost for an unrecorded configuration")
 	} else if !strings.Contains(err.Error(), "replay") {
 		t.Fatalf("unhelpful replay miss error: %v", err)

@@ -14,14 +14,20 @@
 // models. Backend state is rebuilt per generation, so backend swaps are
 // invalidations like any other reconfiguration.
 //
-// On top of the unified layer the engine exposes bounded worker-pool sweep
-// primitives (SweepConfigs, SweepCandidates, SweepQueryConfigs, Evaluate)
-// that advisors use to price many hypothetical designs in parallel — the
-// hot path of CoPhy's atom enumeration, the interaction analyzer's lattice
-// walks, and greedy candidate selection. All sweeps take one snapshot of
-// the engine state at entry, so a concurrent invalidation never tears a
-// sweep in half, and results are deterministic: a parallel sweep returns
-// bit-for-bit the costs a serial loop would.
+// Engine is lifecycle only: it owns the current generation and swaps it
+// (SetBaseConfig, SetJoinControl, SetBackend, SetStats, Invalidate), and
+// reports telemetry (CacheStats, Workers). Every costing, planning, and
+// sizing call goes through a View — one pinned generation obtained with Pin
+// or PinBackend — so a consumer that makes several calls for one logical
+// operation cannot read them from different generations. View carries the
+// bounded worker-pool sweep primitives (SweepConfigs, SweepCandidates,
+// SweepQueryConfigs, Evaluate, EvaluateDelta) that advisors use to price
+// many hypothetical designs in parallel — the hot path of CoPhy's atom
+// enumeration, the interaction analyzer's lattice walks, and greedy
+// candidate selection. Hypothetical structures and candidates come from
+// the view's what-if session (View.Session). Sweep results are
+// deterministic: a parallel sweep returns bit-for-bit the costs a serial
+// loop would.
 package engine
 
 import (
@@ -32,7 +38,6 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
@@ -201,11 +206,10 @@ func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
 	return &View{e: e, s: derived}, nil
 }
 
-// Version reports the pinned generation.
+// Version reports the pinned generation. The engine's generation increments
+// every time the base configuration, the optimizer switches, the
+// statistics, or the cost backend change.
 func (v *View) Version() uint64 { return v.s.version }
-
-// Base returns the pinned base configuration.
-func (v *View) Base() *catalog.Configuration { return v.s.base }
 
 // Session returns the pinned generation's what-if session.
 func (v *View) Session() *whatif.Session { return v.s.session }
@@ -229,46 +233,8 @@ func (v *View) SessionWith(opts optimizer.Options) *whatif.Session {
 	return whatif.NewSessionFromEnv(v.s.env.WithOptions(opts), v.s.base)
 }
 
-// Version reports the configuration generation. It increments every time
-// the base configuration, the optimizer switches, or the cost backend
-// change.
-func (e *Engine) Version() uint64 { return e.snapshot().version }
-
 // Schema exposes the logical schema.
 func (e *Engine) Schema() *catalog.Schema { return e.schema }
-
-// Stats exposes the current generation's statistics catalog.
-func (e *Engine) Stats() *stats.Catalog { return e.snapshot().stats }
-
-// Params exposes the active backend's cost parameters.
-func (e *Engine) Params() optimizer.CostParams { return e.snapshot().backend.Params() }
-
-// Env exposes the current optimizer environment (base configuration,
-// backend cost constants).
-func (e *Engine) Env() *optimizer.Env { return e.snapshot().env }
-
-// Backend describes the active cost backend.
-func (e *Engine) Backend() BackendInfo {
-	snap := e.snapshot()
-	return BackendInfo{Kind: snap.backend.Kind(), Description: snap.backend.Describe()}
-}
-
-// Cache exposes the current generation's INUM cost cache, or nil when the
-// active backend does not price through one (replay). The pointer identity
-// changes on invalidation — do not hold it across configuration changes;
-// prefer the engine's costing methods, which snapshot internally.
-func (e *Engine) Cache() *inum.Cache {
-	if c, ok := e.snapshot().backend.(inumCached); ok {
-		return c.inumCache()
-	}
-	return nil
-}
-
-// Session exposes the current what-if session.
-func (e *Engine) Session() *whatif.Session { return e.snapshot().session }
-
-// Base returns the current base (materialized) configuration.
-func (e *Engine) Base() *catalog.Configuration { return e.snapshot().base }
 
 // SetWorkers bounds sweep parallelism (0 restores the GOMAXPROCS default).
 func (e *Engine) SetWorkers(n int) {
@@ -305,7 +271,7 @@ func (e *Engine) SetBaseConfig(base *catalog.Configuration) {
 // SetJoinControl flips the what-if join component's optimizer switches for
 // all subsequent costings, engine-wide. Cached plan templates embed join
 // choices, so the backend is rebuilt alongside. For join steering scoped
-// to one exploration (a design session) use SessionWith instead.
+// to one exploration (a design session) use View.SessionWith instead.
 func (e *Engine) SetJoinControl(opts optimizer.Options) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -330,15 +296,6 @@ func (e *Engine) SetBackend(spec BackendSpec) error {
 	e.spec = spec
 	e.snap = snap
 	return nil
-}
-
-// SessionWith returns a throwaway what-if session over the engine's
-// current base configuration with the given optimizer switches applied.
-// The engine itself — its environment, backend, and version — is untouched,
-// so per-session join steering cannot leak into other consumers' costing.
-func (e *Engine) SessionWith(opts optimizer.Options) *whatif.Session {
-	snap := e.snapshot()
-	return whatif.NewSessionFromEnv(snap.env.WithOptions(opts), snap.base)
 }
 
 // SetStats swaps the statistics catalog (after a re-ANALYZE) together with
@@ -369,40 +326,6 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 	return s.base
 }
 
-// HypotheticalIndex constructs a sized what-if index (leaf pages and height
-// estimated from statistics, §2's honest-size requirement).
-func (e *Engine) HypotheticalIndex(table string, columns ...string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalIndex(table, columns...)
-}
-
-// HypotheticalProjection constructs a sized what-if covering projection:
-// key columns plus INCLUDE leaf columns, sized over the combined width.
-func (e *Engine) HypotheticalProjection(table string, keys, include []string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalProjection(table, keys, include)
-}
-
-// HypotheticalAggView constructs a sized what-if single-table aggregate
-// materialized view: group keys plus stored aggregates, with group count
-// and pages estimated from column statistics.
-func (e *Engine) HypotheticalAggView(table string, keys, aggs []string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalAggView(table, keys, aggs)
-}
-
-// GenerateCandidates enumerates sized candidate indexes implied by the
-// workload's predicate structure. Candidate enumeration is backend-neutral:
-// it depends on predicates and statistics, never on cost constants.
-func (e *Engine) GenerateCandidates(w *workload.Workload, opts whatif.CandidateOptions) []*catalog.Index {
-	return e.snapshot().session.GenerateCandidates(w, opts)
-}
-
-// Prepare primes the backend for every workload query. candidates guide
-// which interesting orders get plan templates (pass the set you intend to
-// sweep). Prepare is idempotent per query ID within a configuration
-// generation. A cancelled context aborts between queries.
-func (e *Engine) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
-	return e.Pin().Prepare(ctx, w, candidates)
-}
-
 // Prepare primes the pinned generation's backend for every workload query.
 // Queries are prepared in parallel over the sweep pool; already-prepared
 // queries are deduplicated by the backend's idempotency. The workload's
@@ -417,13 +340,6 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*
 	}
 	v.s.markPrepared(w.Fingerprint())
 	return nil
-}
-
-// PrepareQuery primes the backend for one query and returns the lower-case
-// names of the base tables it references (the per-query table set CoPhy
-// enumerates atoms over).
-func (e *Engine) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]string, error) {
-	return e.Pin().PrepareQuery(q, candidates)
 }
 
 // PrepareQuery primes the pinned backend for one query.
@@ -442,22 +358,10 @@ func (v *View) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]st
 	return tables, nil
 }
 
-// QueryCost prices one query under a configuration through the active
-// backend's cached path (nil = the engine's base configuration).
-func (e *Engine) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().QueryCost(q, cfg)
-}
-
 // QueryCost prices one query against the pinned generation (nil = the
 // pinned base configuration).
 func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
 	return v.s.backend.QueryCost(q, v.s.resolve(cfg))
-}
-
-// WorkloadCost sums weighted backend query costs under a configuration
-// (nil = base).
-func (e *Engine) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().WorkloadCost(w, cfg)
 }
 
 // WorkloadCost sums weighted backend query costs against the pinned
@@ -478,35 +382,18 @@ func (s *snapshot) workloadCost(w *workload.Workload, cfg *catalog.Configuration
 	return total, nil
 }
 
-// FullCost prices a statement with the backend's reference model (the full
-// optimizer for analytical backends), bypassing the cached path — the E8
-// comparison baseline and the exactness fallback.
-func (e *Engine) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().FullCost(stmt, cfg)
-}
-
 // FullCost prices a statement with the backend's reference model against
 // the pinned generation.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	return v.s.backend.StmtCost(stmt, v.s.resolve(cfg))
 }
 
-// Optimize plans a statement under a configuration (nil = base) and returns
-// the full plan tree. Planning always runs through the generation's
-// optimizer environment — under the replay backend plans are rendered with
-// the built-in optimizer while costs come from the trace.
-func (e *Engine) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (*optimizer.Plan, error) {
-	snap := e.snapshot()
-	return snap.env.WithConfig(snap.resolve(cfg)).Optimize(stmt)
-}
-
-// Explain plans a statement under a configuration and renders the plan.
-func (e *Engine) Explain(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (string, error) {
-	plan, err := e.Optimize(stmt, cfg)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(), nil
+// Optimize plans a statement under a configuration (nil = the pinned base)
+// and returns the full plan tree. Planning always runs through the pinned
+// generation's optimizer environment — under the replay backend plans are
+// rendered with the built-in optimizer while costs come from the trace.
+func (v *View) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (*optimizer.Plan, error) {
+	return v.s.env.WithConfig(v.s.resolve(cfg)).Optimize(stmt)
 }
 
 // CacheStats reports the current generation's full-optimization and cached

@@ -32,11 +32,12 @@ func newFixture(t *testing.T) *fixture {
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = 4
-	cands := eng.GenerateCandidates(w, opts)
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, opts)
 	if len(cands) < 4 {
 		t.Fatalf("want at least 4 candidates, got %d", len(cands))
 	}
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{eng: eng, w: w, cands: cands}
@@ -65,14 +66,15 @@ func TestSweepConfigsMatchesSerial(t *testing.T) {
 	cfgs := f.sweepConfigs(16)
 
 	serial := make([]float64, len(cfgs))
+	v := f.eng.Pin()
 	for i, cfg := range cfgs {
-		c, err := f.eng.WorkloadCost(f.w, cfg)
+		c, err := v.WorkloadCost(f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial[i] = c
 	}
-	parallel, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	parallel, err := v.SweepConfigs(context.Background(), f.w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +91,13 @@ func TestSweepCandidatesMatchesSerial(t *testing.T) {
 	f := newFixture(t)
 	base := catalog.NewConfiguration().WithIndex(f.cands[0])
 
-	costs, err := f.eng.SweepCandidates(context.Background(), f.w, base, f.cands[1:])
+	v := f.eng.Pin()
+	costs, err := v.SweepCandidates(context.Background(), f.w, base, f.cands[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ix := range f.cands[1:] {
-		want, err := f.eng.WorkloadCost(f.w, base.WithIndex(ix))
+		want, err := v.WorkloadCost(f.w, base.WithIndex(ix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +116,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 
 	serial := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := f.eng.WorkloadCost(f.w, cfg)
+		c, err := f.eng.Pin().WorkloadCost(f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +131,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Mix whole-workload sweeps and per-query costings.
-			got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+			got, err := f.eng.Pin().SweepConfigs(context.Background(), f.w, cfgs)
 			if err != nil {
 				errs[g] = err
 				return
@@ -140,7 +143,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 				}
 			}
 			for i, q := range f.w.Queries {
-				if _, err := f.eng.QueryCost(q, cfgs[i%len(cfgs)]); err != nil {
+				if _, err := f.eng.Pin().QueryCost(q, cfgs[i%len(cfgs)]); err != nil {
 					errs[g] = err
 					return
 				}
@@ -161,12 +164,13 @@ func TestSweepQueryConfigsMatchesSerial(t *testing.T) {
 	cfgs := f.sweepConfigs(10)
 	q := f.w.Queries[0]
 
-	costs, err := f.eng.SweepQueryConfigs(context.Background(), q, cfgs)
+	v := f.eng.Pin()
+	costs, err := v.SweepQueryConfigs(context.Background(), q, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := f.eng.QueryCost(q, cfg)
+		want, err := v.QueryCost(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +187,8 @@ func TestVersioningAndInvalidation(t *testing.T) {
 	f := newFixture(t)
 	q := f.w.Queries[0]
 
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
-	baseCost, err := f.eng.QueryCost(q, nil)
+	v0 := f.eng.Pin().Version()
+	baseCost, err := f.eng.Pin().QueryCost(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +200,17 @@ func TestVersioningAndInvalidation(t *testing.T) {
 	}
 	f.eng.SetBaseConfig(cfg)
 
-	if got := f.eng.Version(); got != v0+1 {
+	if got := f.eng.Pin().Version(); got != v0+1 {
 		t.Fatalf("version = %d, want %d", got, v0+1)
 	}
-	if f.eng.Cache() == cache0 {
-		t.Fatal("SetBaseConfig kept the stale INUM cache")
+	if full, cached := f.eng.CacheStats(); full+cached != 0 {
+		t.Fatalf("SetBaseConfig kept the stale INUM cache (%d full, %d cached costings)", full, cached)
 	}
-	newCost, err := f.eng.QueryCost(q, nil)
+	newCost, err := f.eng.Pin().QueryCost(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.eng.QueryCost(q, cfg)
+	want, err := f.eng.Pin().QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestVersioningAndInvalidation(t *testing.T) {
 	}
 
 	f.eng.Invalidate()
-	if got := f.eng.Version(); got != v0+2 {
+	if got := f.eng.Pin().Version(); got != v0+2 {
 		t.Fatalf("version after Invalidate = %d, want %d", got, v0+2)
 	}
 }
@@ -250,7 +253,7 @@ func TestPinnedViewSurvivesReconfiguration(t *testing.T) {
 	if after != before {
 		t.Fatalf("pinned view changed generation: %v != %v", after, before)
 	}
-	if v.Version() == f.eng.Version() {
+	if v.Version() == f.eng.Pin().Version() {
 		t.Fatal("pinned view should report the old version")
 	}
 	// A fresh pin sees the new generation.
@@ -269,7 +272,7 @@ func TestEvictPrefix(t *testing.T) {
 	q := f.w.Queries[0]
 	nq := q
 	nq.ID = "ns|" + q.ID
-	if _, err := f.eng.QueryCost(nq, nil); err != nil {
+	if _, err := f.eng.Pin().QueryCost(nq, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.eng.EvictPrefix("ns|"); n != 1 {
@@ -289,7 +292,8 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	for _, ix := range f.cands[:2] {
 		cfg = cfg.WithIndex(ix)
 	}
-	rep, err := f.eng.Evaluate(context.Background(), f.w, cfg)
+	v := f.eng.Pin()
+	rep, err := v.Evaluate(context.Background(), f.w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +302,11 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	}
 	var wantBase, wantNew float64
 	for i, q := range f.w.Queries {
-		base, err := f.eng.FullCost(q.Stmt, nil)
+		base, err := v.FullCost(q.Stmt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw, err := f.eng.FullCost(q.Stmt, cfg)
+		nw, err := v.FullCost(q.Stmt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,20 +326,22 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 // not leak into the engine.
 func TestSessionWithScopedJoinControl(t *testing.T) {
 	f := newFixture(t)
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
+	v := f.eng.Pin()
+	full0, cached0 := f.eng.CacheStats()
 
-	sess := f.eng.SessionWith(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
-	if sess == f.eng.Session() {
+	sess := v.SessionWith(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
+	if sess == v.Session() {
 		t.Fatal("SessionWith returned the shared session")
 	}
-	if f.eng.Version() != v0 || f.eng.Cache() != cache0 {
+	cur := f.eng.Pin()
+	full, cached := f.eng.CacheStats()
+	if cur.Version() != v.Version() || full != full0 || cached != cached0 {
 		t.Fatal("SessionWith mutated the engine")
 	}
 	if !sess.Env().Opts.DisableHashJoin {
 		t.Fatal("derived session did not apply the switches")
 	}
-	if f.eng.Env().Opts.DisableHashJoin {
+	if cur.Session().Env().Opts.DisableHashJoin {
 		t.Fatal("join switches leaked into the engine environment")
 	}
 }
@@ -344,13 +350,13 @@ func TestSessionWithScopedJoinControl(t *testing.T) {
 func TestSetWorkers(t *testing.T) {
 	f := newFixture(t)
 	cfgs := f.sweepConfigs(6)
-	want, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	want, err := f.eng.Pin().SweepConfigs(context.Background(), f.w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 0} {
 		f.eng.SetWorkers(n)
-		got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+		got, err := f.eng.Pin().SweepConfigs(context.Background(), f.w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,14 +375,14 @@ func TestSweepWidthsBitIdentical(t *testing.T) {
 	f := newFixture(t)
 	cfgs := f.sweepConfigs(33) // odd count: uneven chunk deal
 	f.eng.SetWorkers(1)
-	serial, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	serial, err := f.eng.Pin().SweepConfigs(context.Background(), f.w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.eng.SetWorkers(0)
 	for _, workers := range []int{2, 7, 16} {
 		f.eng.SetWorkers(workers)
-		got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+		got, err := f.eng.Pin().SweepConfigs(context.Background(), f.w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	ctx := context.Background()
 	cfgs := []*catalog.Configuration{nil, catalog.NewConfiguration()}
 
-	first, err := e.SweepConfigs(ctx, w, cfgs)
+	first, err := e.Pin().SweepConfigs(ctx, w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		again, err := e.SweepConfigs(ctx, w, cfgs)
+		again, err := e.Pin().SweepConfigs(ctx, w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,14 +81,14 @@ func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 	e, w, cb := newCountingEngine(t)
 	ctx := context.Background()
 
-	if err := e.Prepare(ctx, w, nil); err != nil {
+	if err := e.Pin().Prepare(ctx, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	afterPrepare := cb.prepares.Load()
 	if afterPrepare != int64(len(w.Queries)) {
 		t.Fatalf("Prepare made %d backend calls, want %d", afterPrepare, len(w.Queries))
 	}
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	if _, err := e.Pin().SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != afterPrepare {
@@ -102,14 +102,14 @@ func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 func TestInvalidationResetsPreparedSet(t *testing.T) {
 	e, w, _ := newCountingEngine(t)
 	ctx := context.Background()
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	if _, err := e.Pin().SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	e.Invalidate()
 	// The rebuilt snapshot has a fresh (unwrapped) backend; count again.
 	cb := &countingBackend{CostBackend: e.snap.backend}
 	e.snap.backend = cb
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	if _, err := e.Pin().SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {

@@ -132,14 +132,6 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// SweepConfigs prices the whole workload under every configuration in
-// parallel, through the INUM cache. costs[i] corresponds to cfgs[i]; a nil
-// configuration means the engine's base. Results are identical to calling
-// WorkloadCost serially per configuration.
-func (e *Engine) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	return e.Pin().SweepConfigs(ctx, w, cfgs)
-}
-
 // SweepConfigs prices the workload under every configuration in parallel
 // against the pinned generation.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
@@ -159,14 +151,6 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 		return nil, err
 	}
 	return costs, nil
-}
-
-// SweepCandidates prices, in parallel, the workload under base extended by
-// each candidate index on its own: costs[i] is the workload cost under
-// base ∪ {cands[i]}. This is the inner loop of greedy selection and
-// materialization scheduling.
-func (e *Engine) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
-	return e.Pin().SweepCandidates(ctx, w, base, cands)
 }
 
 // SweepCandidates prices base ∪ {cands[i]} per candidate against the
@@ -189,12 +173,6 @@ func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *
 		return nil, err
 	}
 	return costs, nil
-}
-
-// SweepQueryConfigs prices one query under many configurations in parallel
-// — CoPhy's atom pricing. costs[i] corresponds to cfgs[i].
-func (e *Engine) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	return e.Pin().SweepQueryConfigs(ctx, q, cfgs)
 }
 
 // SweepQueryConfigs prices one query under many configurations in parallel
@@ -237,14 +215,6 @@ func (v *View) prepareAll(ctx context.Context, w *workload.Workload) error {
 	}
 	v.s.markPrepared(fp)
 	return nil
-}
-
-// Evaluate costs every query under the base and the hypothetical
-// configuration with the backend's reference model (the full optimizer for
-// analytical backends, the trace for replay) and returns the benefit report
-// the demo's Scenario 1/2 panels display.
-func (e *Engine) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
-	return e.Pin().Evaluate(ctx, w, cfg)
 }
 
 // Evaluate runs the benefit report against the pinned generation — the

@@ -24,7 +24,7 @@ func fixture(t *testing.T, nQueries, maxCands int) (*engine.Engine, []*catalog.I
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = 4
-	cands := eng.GenerateCandidates(w, opts)
+	cands := eng.Pin().Session().GenerateCandidates(w, opts)
 	if len(cands) > maxCands {
 		cands = cands[:maxCands]
 	}
@@ -33,8 +33,8 @@ func fixture(t *testing.T, nQueries, maxCands int) (*engine.Engine, []*catalog.I
 
 func TestGreedyImproves(t *testing.T) {
 	eng, cands, w := fixture(t, 12, 20)
-	adv := greedy.New(eng, cands)
-	res, err := adv.Advise(context.Background(), w, greedy.Options{})
+	adv := greedy.New(cands)
+	res, err := adv.Advise(context.Background(), eng.Pin(), w, greedy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestGreedyRespectsBudget(t *testing.T) {
 		total += ix.EstimatedPages
 	}
 	budget := total / 4
-	adv := greedy.New(eng, cands)
-	res, err := adv.Advise(context.Background(), w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+	adv := greedy.New(cands)
+	res, err := adv.Advise(context.Background(), eng.Pin(), w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func TestGreedyRespectsBudget(t *testing.T) {
 
 func TestGreedyNeverWorseThanBaseline(t *testing.T) {
 	eng, cands, w := fixture(t, 8, 10)
-	adv := greedy.New(eng, cands)
+	adv := greedy.New(cands)
 	for _, budget := range []int64{0, 1, 100, 100000} {
-		res, err := adv.Advise(context.Background(), w, greedy.Options{StorageBudgetPages: budget})
+		res, err := adv.Advise(context.Background(), eng.Pin(), w, greedy.Options{StorageBudgetPages: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +87,12 @@ func TestGreedyNeverWorseThanBaseline(t *testing.T) {
 
 func TestExhaustiveAtLeastAsGoodAsGreedy(t *testing.T) {
 	eng, cands, w := fixture(t, 6, 8)
-	adv := greedy.New(eng, cands)
-	gres, err := adv.Advise(context.Background(), w, greedy.Options{})
+	adv := greedy.New(cands)
+	gres, err := adv.Advise(context.Background(), eng.Pin(), w, greedy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := greedy.Exhaustive(context.Background(), eng, cands, w, 0)
+	eres, err := greedy.Exhaustive(context.Background(), eng.Pin(), cands, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

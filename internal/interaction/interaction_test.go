@@ -51,7 +51,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 
 	mk := func(table string, cols ...string) *catalog.Index {
-		ix, err := eng.HypotheticalIndex(table, cols...)
+		ix, err := eng.Pin().Session().HypotheticalIndex(table, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func newFixture(t *testing.T) *fixture {
 
 func TestAnalyzeFindsSubstituteInteraction(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestAnalyzeFindsSubstituteInteraction(t *testing.T) {
 
 func TestDoiSymmetricAndDeterministic(t *testing.T) {
 	f := newFixture(t)
-	g1, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g1, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g2, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDoiSymmetricAndDeterministic(t *testing.T) {
 
 func TestTopKFilter(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTopKFilter(t *testing.T) {
 
 func TestStableSubsets(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestStableSubsets(t *testing.T) {
 
 func TestDOTAndRender(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,14 @@ func TestDOTAndRender(t *testing.T) {
 
 func TestAnalyzeSmallSets(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes[:1], interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes[:1], interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Edges) != 0 {
 		t.Fatal("single index cannot interact")
 	}
-	g0, err := interaction.Analyze(context.Background(), f.eng, f.w, nil, interaction.DefaultOptions())
+	g0, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, nil, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAnalyzeSmallSets(t *testing.T) {
 
 func TestMatrixRendering(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestMatrixRendering(t *testing.T) {
 		}
 	}
 	// Empty graph renders gracefully.
-	empty, err := interaction.Analyze(context.Background(), f.eng, f.w, nil, interaction.DefaultOptions())
+	empty, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, nil, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

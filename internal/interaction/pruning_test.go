@@ -16,7 +16,7 @@ import (
 // pairs only photoobj×photoobj survives.
 func TestRelevancePruningSkipsDisjointPairs(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.eng.Pin(), f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

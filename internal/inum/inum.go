@@ -116,6 +116,10 @@ type Cache struct {
 
 	mu      sync.RWMutex
 	entries map[string]*CachedQuery
+	// inflight holds the builds under way, by query ID: a concurrent
+	// missing Prepare waits for the build instead of running the full
+	// optimizer a second time.
+	inflight map[string]*pendingBuild
 
 	// Telemetry for the E8 experiment.
 	fullOptimizations atomic.Int64
@@ -126,7 +130,16 @@ type Cache struct {
 // params). The base configuration inside env is ignored; configurations are
 // supplied per costing call.
 func New(env *optimizer.Env) *Cache {
-	return &Cache{base: env, entries: make(map[string]*CachedQuery)}
+	return &Cache{base: env, entries: make(map[string]*CachedQuery), inflight: make(map[string]*pendingBuild)}
+}
+
+// pendingBuild is one in-flight Prepare build; q and err are set before
+// done closes.
+type pendingBuild struct {
+	stmt *sqlparse.SelectStmt
+	done chan struct{}
+	q    *CachedQuery
+	err  error
 }
 
 // Stats reports how many full optimizations and cached costings the cache
@@ -142,7 +155,9 @@ func (c *Cache) Stats() (fullOpts, cachedCostings int64) {
 // the same statement — a different statement under a reused ID (two
 // workloads both numbering their queries q0, q1, ... against one
 // long-lived engine) rebuilds and replaces the entry instead of silently
-// pricing the new query with the old query's plans.
+// pricing the new query with the old query's plans. Concurrent callers
+// that miss on the same ID wait for the one build under way, so a query is
+// optimized once however many sweep workers reach it together.
 func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) (*CachedQuery, error) {
 	c.mu.RLock()
 	if q, ok := c.entries[id]; ok && q.matches(stmt) {
@@ -151,17 +166,36 @@ func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*cata
 	}
 	c.mu.RUnlock()
 
-	q, err := c.build(id, stmt, candidates)
-	if err != nil {
-		return nil, err
+	for {
+		c.mu.Lock()
+		if q, ok := c.entries[id]; ok && q.matches(stmt) {
+			c.mu.Unlock()
+			return q, nil
+		}
+		p := c.inflight[id]
+		if p == nil {
+			break // c.mu stays held: claim the build below
+		}
+		c.mu.Unlock()
+		<-p.done
+		if p.stmt == stmt || p.stmt.String() == stmt.String() {
+			return p.q, p.err
+		}
+		// Another statement was being built under this ID; build ours next.
 	}
+	p := &pendingBuild{stmt: stmt, done: make(chan struct{})}
+	c.inflight[id] = p
+	c.mu.Unlock()
+
+	p.q, p.err = c.build(id, stmt, candidates)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.entries[id]; ok && prev.matches(stmt) {
-		return prev, nil
+	delete(c.inflight, id)
+	if p.err == nil {
+		c.entries[id] = p.q
 	}
-	c.entries[id] = q
-	return q, nil
+	c.mu.Unlock()
+	close(p.done)
+	return p.q, p.err
 }
 
 // matches reports whether the entry was built for this statement: same

@@ -40,16 +40,12 @@ func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 	}
 }
 
-// BestTableAccess computes the cheapest access path for one base table of a
-// resolved query under e.Config, optionally required to deliver the given
-// sort order. It runs only single-table path generation — no join search —
-// which is what makes INUM's configuration sweep orders of magnitude
-// cheaper than full re-optimization (experiment E8).
-func (e *Env) BestTableAccess(sel *sqlparse.SelectStmt, table string, required []OrderKey) (TableAccess, error) {
-	return e.BestAccessWith(e.PrepareAccess(sel), table, required)
-}
-
-// BestAccessWith is BestTableAccess with a precomputed AccessContext.
+// BestAccessWith computes the cheapest access path for one base table of a
+// resolved query (analyzed once by PrepareAccess) under e.Config,
+// optionally required to deliver the given sort order. It runs only
+// single-table path generation — no join search — which is what makes
+// INUM's configuration sweep orders of magnitude cheaper than full
+// re-optimization (experiment E8).
 func (e *Env) BestAccessWith(ctx *AccessContext, table string, required []OrderKey) (TableAccess, error) {
 	if e.Schema.Table(table) == nil {
 		return TableAccess{}, fmt.Errorf("optimizer: unknown table %q", table)

@@ -27,7 +27,7 @@ func TestBestTableAccessUnordered(t *testing.T) {
 	env := envBase.WithConfig(cfg)
 	sel := resolvedStmt(t, env, "SELECT objid, ra FROM photoobj WHERE objid = 1000005")
 
-	acc, err := env.BestTableAccess(sel, "photoobj", nil)
+	acc, err := env.BestAccessWith(env.PrepareAccess(sel), "photoobj", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	want := []optimizer.OrderKey{{Table: "photoobj", Column: "ra"}}
 
 	// Without any index the order can only come from an explicit sort.
-	acc, err := envBase.BestTableAccess(sel, "photoobj", want)
+	acc, err := envBase.BestAccessWith(envBase.PrepareAccess(sel), "photoobj", want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	// With an index on ra, the ordered path should win for cheap orders.
 	cfg := catalog.NewConfiguration().WithIndex(hypoIndex(envBase, "photoobj", "ra"))
 	env := envBase.WithConfig(cfg)
-	acc2, err := env.BestTableAccess(sel, "photoobj", want)
+	acc2, err := env.BestAccessWith(env.PrepareAccess(sel), "photoobj", want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 func TestBestTableAccessUnknownTable(t *testing.T) {
 	env := testEnv(t, nil)
 	sel := resolvedStmt(t, env, "SELECT objid FROM photoobj")
-	if _, err := env.BestTableAccess(sel, "nosuch", nil); err == nil {
+	if _, err := env.BestAccessWith(env.PrepareAccess(sel), "nosuch", nil); err == nil {
 		t.Fatal("unknown table should error")
 	}
 }

@@ -100,15 +100,14 @@ func BuildCost(ix *catalog.Index, st *stats.Catalog, params optimizer.CostParams
 	return heapScan + sortCPU + leafWrite + rows*params.CPUTupleCost
 }
 
-// Scheduler orders index builds using the engine's INUM-estimated workload
-// costs.
-type Scheduler struct {
-	eng *engine.Engine
-}
+// Scheduler orders index builds using INUM-estimated workload costs from a
+// pinned engine view.
+type Scheduler struct{}
 
-// New creates a scheduler over the shared costing engine.
-func New(eng *engine.Engine) *Scheduler {
-	return &Scheduler{eng: eng}
+// New creates a scheduler. The engine argument is unused: every schedule
+// prices against the view its caller pins.
+func New(_ *engine.Engine) *Scheduler {
+	return &Scheduler{}
 }
 
 // workloadCost prices the workload under a configuration against a pinned
@@ -120,16 +119,10 @@ func workloadCost(ctx context.Context, v *engine.View, w *workload.Workload, ind
 	return v.WorkloadCost(w, cfg)
 }
 
-// Greedy computes the interaction-aware schedule: at each step it builds
-// the index with the best marginal-benefit-to-build-cost ratio relative to
-// the prefix already built. Every step prices the remaining candidates in
-// one parallel engine sweep.
-func (s *Scheduler) Greedy(ctx context.Context, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
-	return s.GreedyView(ctx, s.eng.Pin(), w, indexes)
-}
-
 // GreedyView computes the interaction-aware schedule against one pinned
-// engine generation.
+// engine generation: at each step it builds the index with the best
+// marginal-benefit-to-build-cost ratio relative to the prefix already
+// built. Every step prices the remaining candidates in one parallel sweep.
 func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	cfg := catalog.NewConfiguration()
@@ -169,14 +162,9 @@ func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.
 	return out, nil
 }
 
-// Oblivious computes the interaction-oblivious baseline: indexes ranked
-// once by standalone benefit per build cost, never re-evaluated.
-func (s *Scheduler) Oblivious(ctx context.Context, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
-	return s.ObliviousView(ctx, s.eng.Pin(), w, indexes)
-}
-
-// ObliviousView computes the oblivious baseline against one pinned engine
-// generation.
+// ObliviousView computes the interaction-oblivious baseline against one
+// pinned engine generation: indexes ranked once by standalone benefit per
+// build cost, never re-evaluated.
 func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	empty := catalog.NewConfiguration()
@@ -211,113 +199,6 @@ func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *worklo
 		out.Steps = append(out.Steps, Step{
 			Index:     r.ix,
 			BuildCost: BuildCost(r.ix, v.Stats(), v.Params()),
-			CostAfter: c,
-		})
-	}
-	finalize(out)
-	return out, nil
-}
-
-// GreedyBySubsets schedules each stable subset independently and merges
-// the per-subset schedules by benefit rate — the decomposition Schnaitter
-// et al. derive from stable partitions: indexes in different subsets do
-// not interact, so their relative order is determined by rate alone, and
-// the search space shrinks from n! to Σ|subset|!.
-//
-// subsets are index ordinals into `indexes` (interaction.Graph.StableSubsets
-// output). The merged schedule evaluates the true cumulative cost at the
-// end so the AUC is comparable with Greedy's.
-func (s *Scheduler) GreedyBySubsets(ctx context.Context, w *workload.Workload, indexes []*catalog.Index, subsets [][]int) (*Schedule, error) {
-	v := s.eng.Pin()
-	out := &Schedule{}
-	base, err := workloadCost(ctx, v, w, indexes, catalog.NewConfiguration())
-	if err != nil {
-		return nil, err
-	}
-	out.BaseCost = base
-
-	// Schedule each subset in isolation, recording per-step benefit rates.
-	type rated struct {
-		ix   *catalog.Index
-		rate float64
-	}
-	var merged []rated
-	for _, subset := range subsets {
-		sub := make([]*catalog.Index, 0, len(subset))
-		for _, ord := range subset {
-			if ord < 0 || ord >= len(indexes) {
-				return nil, fmt.Errorf("schedule: subset ordinal %d out of range", ord)
-			}
-			sub = append(sub, indexes[ord])
-		}
-		cfg := catalog.NewConfiguration()
-		cur, err := workloadCost(ctx, v, w, indexes, cfg)
-		if err != nil {
-			return nil, err
-		}
-		remaining := sub
-		for len(remaining) > 0 {
-			costs, err := v.SweepCandidates(ctx, w, cfg, remaining)
-			if err != nil {
-				return nil, err
-			}
-			bestI := -1
-			bestRate := math.Inf(-1)
-			bestCost := 0.0
-			for i, ix := range remaining {
-				rate := (cur - costs[i]) / math.Max(BuildCost(ix, v.Stats(), v.Params()), 1e-9)
-				if rate > bestRate {
-					bestRate, bestI, bestCost = rate, i, costs[i]
-				}
-			}
-			ix := remaining[bestI]
-			remaining = append(remaining[:bestI], remaining[bestI+1:]...)
-			cfg = cfg.WithIndex(ix)
-			cur = bestCost
-			merged = append(merged, rated{ix: ix, rate: bestRate})
-		}
-	}
-	// Merge subsets: order by per-step rate descending (stable across
-	// subsets because cross-subset interactions are below threshold).
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].rate > merged[j].rate })
-
-	cfg := catalog.NewConfiguration()
-	for _, r := range merged {
-		cfg = cfg.WithIndex(r.ix)
-		c, err := workloadCost(ctx, v, w, indexes, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Steps = append(out.Steps, Step{
-			Index:     r.ix,
-			BuildCost: BuildCost(r.ix, v.Stats(), v.Params()),
-			CostAfter: c,
-		})
-	}
-	finalize(out)
-	return out, nil
-}
-
-// FixedOrder evaluates a user-supplied build order (for what-if schedule
-// comparisons in the CLI).
-func (s *Scheduler) FixedOrder(ctx context.Context, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
-	v := s.eng.Pin()
-	out := &Schedule{}
-	cfg := catalog.NewConfiguration()
-	base, err := workloadCost(ctx, v, w, indexes, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.BaseCost = base
-	for _, ix := range indexes {
-		cfg = cfg.WithIndex(ix)
-		c, err := workloadCost(ctx, v, w, indexes, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Steps = append(out.Steps, Step{
-			Index:     ix,
-			BuildCost: BuildCost(ix, v.Stats(), v.Params()),
 			CostAfter: c,
 		})
 	}

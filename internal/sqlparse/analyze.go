@@ -19,19 +19,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// AndAll rebuilds a conjunction from factors; returns nil for an empty list.
-func AndAll(factors []Expr) Expr {
-	var out Expr
-	for _, f := range factors {
-		if out == nil {
-			out = f
-		} else {
-			out = &BinaryExpr{Op: OpAnd, L: out, R: f}
-		}
-	}
-	return out
-}
-
 // WalkColumns invokes fn for every ColumnRef in the expression tree.
 func WalkColumns(e Expr, fn func(*ColumnRef)) {
 	switch v := e.(type) {

